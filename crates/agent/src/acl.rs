@@ -128,23 +128,24 @@ impl AclMessage {
 
     /// Sets raw content bytes.
     pub fn with_content(mut self, content: Vec<u8>) -> Self {
-        self.content = Blob(content);
+        self.content = Blob::from(content);
         self
     }
 
     /// Encodes `value` as the content.
     pub fn with_payload<T: Wire>(mut self, value: &T) -> Self {
-        self.content = Blob(mdagent_wire::to_bytes(value));
+        self.content = Blob::from(mdagent_wire::to_bytes(value));
         self
     }
 
-    /// Decodes the content as `T`.
+    /// Decodes the content as `T`. Blob fields of `T` decoded from content
+    /// larger than [`Blob::PACK_MAX`] are views of it, not copies.
     ///
     /// # Errors
     ///
     /// Propagates wire decoding failures.
     pub fn payload<T: Wire>(&self) -> Result<T, mdagent_wire::WireError> {
-        mdagent_wire::from_bytes(&self.content.0)
+        mdagent_wire::from_blob(&self.content)
     }
 
     /// Builds a reply: swapped endpoints, same conversation.

@@ -16,7 +16,7 @@ impl fmt::Display for ContainerId {
 }
 
 impl Wire for ContainerId {
-    fn encode(&self, buf: &mut mdagent_wire::bytes::BytesMut) {
+    fn encode<B: mdagent_wire::bytes::BufMut>(&self, buf: &mut B) {
         self.0.encode(buf);
     }
     fn decode(reader: &mut mdagent_wire::Reader<'_>) -> Result<Self, mdagent_wire::WireError> {

@@ -10,6 +10,7 @@ use mdagent_simnet::{
     SimDuration, Simulator, Symbol, Telemetry, Topology, Trace, TraceCategory, TraceEvent,
     TransferFault, DEFAULT_CHUNK_BYTES,
 };
+use mdagent_wire::Blob;
 
 use crate::acl::AclMessage;
 use crate::agent::{Agent, Cx, Journey, LifecycleState};
@@ -127,7 +128,11 @@ pub enum DeferredFailure {
 }
 
 /// Factory reconstructing an agent from its snapshot after migration.
-pub type AgentFactory<W> = Box<dyn Fn(&[u8]) -> Result<Box<dyn Agent<W>>, mdagent_wire::WireError>>;
+///
+/// The snapshot is a shared [`Blob`]: decoding it with
+/// [`mdagent_wire::from_blob`] turns the agent's large blob fields into
+/// views of it instead of copies.
+pub type AgentFactory<W> = Box<dyn Fn(&Blob) -> Result<Box<dyn Agent<W>>, mdagent_wire::WireError>>;
 
 struct ContainerRec {
     name: String,
@@ -785,7 +790,7 @@ impl<W: PlatformHost> Platform<W> {
         let Some(agent) = slot.agent.as_ref() else {
             return Err(AgentError::NotActive(id.clone()));
         };
-        let snapshot = agent.snapshot();
+        let snapshot = Blob::from(agent.snapshot());
         let src_host = platform.container_host(src)?;
         let bytes = snapshot.len() as u64 + extra_payload_bytes + AGENT_FRAME_BYTES;
         // Migrating state is chunked and cut through successive links, so
@@ -917,7 +922,7 @@ impl<W: PlatformHost> Platform<W> {
         let Some(agent) = slot.agent.as_ref() else {
             return Err(AgentError::NotActive(id.clone()));
         };
-        let snapshot = agent.snapshot();
+        let snapshot = Blob::from(agent.snapshot());
         let src_host = platform.container_host(src)?;
         let bytes = snapshot.len() as u64 + extra_payload_bytes + AGENT_FRAME_BYTES;
         let transfer = world
@@ -995,7 +1000,7 @@ impl<W: PlatformHost> Platform<W> {
         sim: &mut Simulator<W>,
         id: &AgentId,
         link: LinkId,
-        snapshot: Vec<u8>,
+        snapshot: Blob,
         cloned: bool,
     ) {
         let platform = world.platform_mut();
@@ -1076,7 +1081,7 @@ impl<W: PlatformHost> Platform<W> {
         id: &AgentId,
         dest: ContainerId,
         from: ContainerId,
-        snapshot: Vec<u8>,
+        snapshot: Blob,
         cloned: bool,
     ) {
         let platform = world.platform_mut();

@@ -1,14 +1,19 @@
 //! Migration data-path benchmark: shipped bytes and time under static
 //! binding, adaptive binding, and adaptive binding with the
 //! content-addressed component cache + delta snapshots, plus the chunked
-//! pipelined transfer against plain store-and-forward on a multi-hop path.
+//! pipelined transfer against plain store-and-forward on a multi-hop path,
+//! plus the host (wall-clock) cost of a static trip.
+
+use std::hint::black_box;
+use std::time::Instant;
 
 use mdagent_context::UserId;
 use mdagent_core::{
-    AppState, BindingPolicy, Component, ComponentKind, DataPathOptions, DeviceProfile, Middleware,
-    MobilityMode, UserProfile,
+    AppId, AppState, BindingPolicy, Component, ComponentKind, ComponentSet, DataPathOptions,
+    DeviceProfile, Middleware, MobilityMode, UserProfile,
 };
-use mdagent_simnet::{CpuFactor, SimDuration, Topology, DEFAULT_CHUNK_BYTES};
+use mdagent_simnet::{CpuFactor, HostId, SimDuration, Simulator, Topology, DEFAULT_CHUNK_BYTES};
+use mdagent_wire::{digest_of, from_blob, from_bytes, to_bytes, Blob};
 
 /// Round trips of the shuttle scenario (app migrates back and forth, so
 /// repeat visits exercise the cache and delta mechanisms).
@@ -62,6 +67,97 @@ pub struct MigrationBench {
     pub pipeline: PipelineComparison,
 }
 
+/// Timed static trips of the host-cost measurement, after
+/// [`HOST_WARM_UP_TRIPS`] untimed ones.
+pub const HOST_TRIPS: usize = 30;
+
+/// Untimed trips before the host-cost measurement.
+pub const HOST_WARM_UP_TRIPS: usize = 2;
+
+/// Host time of one static 4.3 MB trip at the commit before payloads
+/// became shared `Blob`s (7d3f66f): [`host_trip_cost`]'s trip loop built
+/// against that commit and run on the same shared 2-vCPU VM as the
+/// committed artifact, `(best, median)` µs over [`HOST_TRIPS`] trips (the
+/// middle of three runs, interleaved with runs of this commit's loop).
+pub const HOST_TRIP_US_BEFORE: (f64, f64) = (5647.4, 9591.9);
+
+/// Host (wall-clock) cost of the static 4.3 MB trip and of the wire
+/// operations it performs on its payload. Not deterministic: it depends on
+/// the machine and its load.
+#[derive(Debug, Clone)]
+pub struct HostCost {
+    /// Fastest timed trip (`migrate_now` until the queue drains), µs.
+    pub trip_us_best: f64,
+    /// Median timed trip, µs.
+    pub trip_us_median: f64,
+    /// Best of [`HOST_TRIPS`] runs of each wire stage over the landed
+    /// component set, µs: encode, decode from a shared image (views),
+    /// decode from a plain slice (copies), digest, clone.
+    pub stages_us: Vec<(&'static str, f64)>,
+}
+
+/// Wall time of `f` in µs, best of [`HOST_TRIPS`] runs.
+fn best_us<R>(mut f: impl FnMut() -> R) -> f64 {
+    (0..HOST_TRIPS)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(f());
+            start.elapsed().as_secs_f64() * 1e6
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Measures [`HostCost`] on the static-binding shuttle.
+///
+/// # Panics
+///
+/// Panics on scenario construction failures, or if a trip does not land.
+pub fn host_trip_cost() -> HostCost {
+    let (mut world, mut sim, hosts, app) = shuttle_world(None, 1);
+    let mut trips_us = Vec::with_capacity(HOST_TRIPS);
+    for trip in 0..HOST_WARM_UP_TRIPS + HOST_TRIPS {
+        let start = Instant::now();
+        shuttle_trip(
+            &mut world,
+            &mut sim,
+            app,
+            hosts[(trip + 1) % 2],
+            trip,
+            BindingPolicy::Static,
+        );
+        if trip >= HOST_WARM_UP_TRIPS {
+            trips_us.push(start.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+    trips_us.sort_by(f64::total_cmp);
+    let components: ComponentSet = world.app(app).expect("app").components.clone();
+    let image = Blob::from(to_bytes(&components));
+    let stages_us = vec![
+        ("encode", best_us(|| drop(black_box(to_bytes(&components))))),
+        (
+            "decode_shared",
+            best_us(|| drop(black_box(from_blob::<ComponentSet>(&image)))),
+        ),
+        (
+            "decode_copy",
+            best_us(|| drop(black_box(from_bytes::<ComponentSet>(&image)))),
+        ),
+        (
+            "digest",
+            best_us(|| black_box(digest_of(&components)).as_u64()),
+        ),
+        ("clone", best_us(|| drop(black_box(components.clone())))),
+    ];
+    HostCost {
+        trip_us_best: trips_us.first().copied().unwrap_or(f64::NAN),
+        trip_us_median: trips_us
+            .get(trips_us.len() / 2)
+            .copied()
+            .unwrap_or(f64::NAN),
+        stages_us,
+    }
+}
+
 /// Runs the paper's Fig. 8 testbed as a shuttle: the media player migrates
 /// p4 → pm → p4 → … for [`SHUTTLE_TRIPS`] trips. Repeat visits make the
 /// destination hold earlier content, which the cache and delta mechanisms
@@ -76,6 +172,36 @@ pub fn run_shuttle(
     data_path: Option<DataPathOptions>,
     seed: u64,
 ) -> ShuttleRun {
+    let (mut world, mut sim, [p4, pm], app) = shuttle_world(data_path, seed);
+    for trip in 0..SHUTTLE_TRIPS {
+        let dest = if trip % 2 == 0 { pm } else { p4 };
+        shuttle_trip(&mut world, &mut sim, app, dest, trip, policy);
+    }
+
+    let total_shipped_bytes = world.migration_log().iter().map(|r| r.shipped_bytes).sum();
+    let total_ms = world
+        .migration_log()
+        .iter()
+        .map(|r| r.phases.total().as_millis_f64())
+        .sum();
+    ShuttleRun {
+        label: label.to_owned(),
+        trips: world.migration_log().len(),
+        total_shipped_bytes,
+        total_ms,
+        bytes_saved_cache: world.metrics().counter("migration.bytes_saved_cache"),
+        bytes_saved_delta: world.metrics().counter("migration.bytes_saved_delta"),
+        cache_hits: world.metrics().counter("migration.cache_hits"),
+        cache_misses: world.metrics().counter("migration.cache_misses"),
+    }
+}
+
+/// The Fig. 8 testbed with the media player deployed on the first PC, its
+/// UI preinstalled on the second, and a 64-entry playlist in its state.
+fn shuttle_world(
+    data_path: Option<DataPathOptions>,
+    seed: u64,
+) -> (Middleware, Simulator<Middleware>, [HostId; 2], AppId) {
     let mut b = Middleware::builder();
     let room_a = b.space("room-a");
     let room_b = b.space("room-b");
@@ -128,47 +254,32 @@ pub fn run_shuttle(
             coordinator.set_state(format!("playlist-{i:02}"), format!("track-{i:02}.mp3"));
         }
     }
+    (world, sim, [p4, pm], app)
+}
 
-    for trip in 0..SHUTTLE_TRIPS {
-        world
-            .app_mut(app)
-            .expect("app")
-            .coordinator
-            .set_state("position-ms", format!("{}", trip * 184_000));
-        let dest = if trip % 2 == 0 { pm } else { p4 };
-        Middleware::migrate_now(
-            &mut world,
-            &mut sim,
-            app,
-            dest,
-            MobilityMode::FollowMe,
-            policy,
-        )
+/// One follow-me trip of the shuttle: advances the playback position, then
+/// migrates to `dest` and runs the simulation until the queue drains.
+fn shuttle_trip(
+    world: &mut Middleware,
+    sim: &mut Simulator<Middleware>,
+    app: AppId,
+    dest: HostId,
+    trip: usize,
+    policy: BindingPolicy,
+) {
+    world
+        .app_mut(app)
+        .expect("app")
+        .coordinator
+        .set_state("position-ms", format!("{}", trip * 184_000));
+    Middleware::migrate_now(world, sim, app, dest, MobilityMode::FollowMe, policy)
         .expect("migrate");
-        sim.run(&mut world);
-        assert_eq!(
-            world.app(app).expect("app").state,
-            AppState::Running,
-            "trip {trip} must complete"
-        );
-    }
-
-    let total_shipped_bytes = world.migration_log().iter().map(|r| r.shipped_bytes).sum();
-    let total_ms = world
-        .migration_log()
-        .iter()
-        .map(|r| r.phases.total().as_millis_f64())
-        .sum();
-    ShuttleRun {
-        label: label.to_owned(),
-        trips: world.migration_log().len(),
-        total_shipped_bytes,
-        total_ms,
-        bytes_saved_cache: world.metrics().counter("migration.bytes_saved_cache"),
-        bytes_saved_delta: world.metrics().counter("migration.bytes_saved_delta"),
-        cache_hits: world.metrics().counter("migration.cache_hits"),
-        cache_misses: world.metrics().counter("migration.cache_misses"),
-    }
+    sim.run(world);
+    assert_eq!(
+        world.app(app).expect("app").state,
+        AppState::Running,
+        "trip {trip} must complete"
+    );
 }
 
 /// Measures store-and-forward vs. chunked pipelined transfer of the
@@ -228,13 +339,15 @@ pub fn bench_migration() -> MigrationBench {
     }
 }
 
-/// Renders [`bench_migration`] as the machine-readable
-/// `BENCH_migration.json` document.
+/// Renders [`bench_migration`] and [`host_trip_cost`] as the
+/// machine-readable `BENCH_migration.json` document. Every field but
+/// `host` is deterministic.
 pub fn bench_migration_json() -> String {
     let bench = bench_migration();
+    let host = host_trip_cost();
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"mdagent-bench/migration/v1\",\n");
+    out.push_str("  \"schema\": \"mdagent-bench/migration/v2\",\n");
     out.push_str(
         "  \"command\": \"cargo run --release -p mdagent-bench --bin figures -- bench-migration\",\n",
     );
@@ -247,6 +360,25 @@ pub fn bench_migration_json() -> String {
     ));
     out.push_str(&format!("  \"trips\": {},\n", SHUTTLE_TRIPS));
     out.push_str(&format!("  \"file_bytes\": {},\n", SHUTTLE_FILE_BYTES));
+    let stages: Vec<String> = host
+        .stages_us
+        .iter()
+        .map(|(name, us)| format!("\"{name}\": {us:.1}"))
+        .collect();
+    out.push_str(&format!(
+        "  \"host\": {{\"clock\": \"wall, static 4.3 MB trip, {} trips after {} warm-up; \
+         stages best of {}\", \"trip_us_best\": {:.1}, \"trip_us_median\": {:.1}, \
+         \"stages_us\": {{{}}}, \"before\": {{\"commit\": \"7d3f66f\", \
+         \"trip_us_best\": {:.1}, \"trip_us_median\": {:.1}}}}},\n",
+        HOST_TRIPS,
+        HOST_WARM_UP_TRIPS,
+        HOST_TRIPS,
+        host.trip_us_best,
+        host.trip_us_median,
+        stages.join(", "),
+        HOST_TRIP_US_BEFORE.0,
+        HOST_TRIP_US_BEFORE.1,
+    ));
     out.push_str("  \"configurations\": [\n");
     for (i, r) in bench.runs.iter().enumerate() {
         out.push_str(&format!(
@@ -283,6 +415,23 @@ pub fn bench_migration_json() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn host_cost_is_measured_and_views_beat_copies() {
+        let host = host_trip_cost();
+        assert!(host.trip_us_best > 0.0 && host.trip_us_best <= host.trip_us_median);
+        let stage = |name: &str| {
+            host.stages_us
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, us)| *us)
+                .unwrap()
+        };
+        assert_eq!(host.stages_us.len(), 5);
+        // Views touch no payload bytes; copies touch all 4.5 MB.
+        assert!(stage("decode_shared") < stage("decode_copy"));
+        assert!(stage("clone") < stage("encode"));
+    }
 
     #[test]
     fn cache_and_delta_strictly_beat_plain_adaptive() {

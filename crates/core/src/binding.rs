@@ -33,7 +33,7 @@ pub enum BindingTarget {
 
 // Wire for BindingTarget is hand-written (enum with payloads).
 impl mdagent_wire::Wire for BindingTarget {
-    fn encode(&self, buf: &mut mdagent_wire::bytes::BytesMut) {
+    fn encode<B: mdagent_wire::bytes::BufMut>(&self, buf: &mut B) {
         match self {
             BindingTarget::LocalFile { path, bytes } => {
                 0u32.encode(buf);
@@ -69,6 +69,18 @@ impl mdagent_wire::Wire for BindingTarget {
                 tag,
                 type_name: "BindingTarget",
             }),
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        match self {
+            BindingTarget::LocalFile { path, bytes } => {
+                0u32.encoded_len() + path.encoded_len() + bytes.encoded_len()
+            }
+            BindingTarget::RemoteUrl { url, host_raw } => {
+                1u32.encoded_len() + url.encoded_len() + host_raw.encoded_len()
+            }
+            BindingTarget::RegistryResource { name } => 2u32.encoded_len() + name.encoded_len(),
         }
     }
 }

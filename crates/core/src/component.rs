@@ -82,7 +82,7 @@ impl Component {
         Component {
             name: name.into(),
             kind,
-            payload: Blob(payload),
+            payload: Blob::from(payload),
         }
     }
 

@@ -1,6 +1,6 @@
 //! Wire payloads of the ACL conversations between middleware parts.
 
-use mdagent_wire::bytes::BytesMut;
+use mdagent_wire::bytes::BufMut;
 use mdagent_wire::{impl_wire_struct, Reader, Wire, WireError};
 
 use crate::component::ComponentSet;
@@ -151,7 +151,7 @@ pub struct Cargo {
 // the context is present iff bytes remain after them — an `Option` tag
 // byte would change the defaults-OFF encoding.
 impl Wire for Cargo {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         self.plan.encode(buf);
         self.snapshot.encode(buf);
         self.components.encode(buf);

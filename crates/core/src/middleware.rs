@@ -350,14 +350,14 @@ impl MiddlewareBuilder {
         platform.register_factory(
             "mobile-agent",
             Box::new(|bytes| {
-                mdagent_wire::from_bytes::<crate::agents::MobileAgent>(bytes)
+                mdagent_wire::from_blob::<crate::agents::MobileAgent>(bytes)
                     .map(|a| Box::new(a) as Box<dyn Agent<Middleware>>)
             }),
         );
         platform.register_factory(
             "autonomous-agent",
             Box::new(|bytes| {
-                mdagent_wire::from_bytes::<crate::agents::AutonomousAgent>(bytes)
+                mdagent_wire::from_blob::<crate::agents::AutonomousAgent>(bytes)
                     .map(|a| Box::new(a) as Box<dyn Agent<Middleware>>)
             }),
         );

@@ -12,7 +12,7 @@
 //! deterministic across runs and platforms, which is what replayable
 //! scenarios require.
 
-use bytes::BytesMut;
+use bytes::BufMut;
 
 use crate::error::WireError;
 use crate::reader::Reader;
@@ -48,21 +48,9 @@ pub struct Digest(pub u64);
 impl Digest {
     /// Digest of a raw byte slice.
     pub fn of_bytes(bytes: &[u8]) -> Digest {
-        let mut hash = 0u64;
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            let mut word = [0u8; 8];
-            word.copy_from_slice(chunk);
-            hash = fx_add(hash, u64::from_le_bytes(word));
-        }
-        let tail = chunks.remainder();
-        if !tail.is_empty() {
-            let mut word = [0u8; 8];
-            word[..tail.len()].copy_from_slice(tail);
-            hash = fx_add(hash, u64::from_le_bytes(word));
-        }
-        // Fold in the length so `[0]` and `[0, 0]` differ.
-        Digest(fx_add(hash, bytes.len() as u64))
+        let mut stream = DigestStream::default();
+        stream.put_slice(bytes);
+        stream.finish()
     }
 
     /// The raw 64-bit value.
@@ -72,7 +60,7 @@ impl Digest {
 }
 
 impl Wire for Digest {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         self.0.encode(buf);
     }
 
@@ -91,14 +79,74 @@ impl std::fmt::Display for Digest {
     }
 }
 
+/// The digest hash fed incrementally: the bytes are the little-endian
+/// words of the stream, the last one zero-padded, then the total length.
+/// Split points between writes do not matter, so hashing an encoder's
+/// output as it streams by equals hashing the finished buffer.
+#[derive(Default)]
+struct DigestStream {
+    hash: u64,
+    /// Bytes of the unfinished word, little-endian from the low byte.
+    partial: u64,
+    /// How many bytes `partial` holds (0..8).
+    filled: u32,
+    len: u64,
+}
+
+impl DigestStream {
+    fn push_byte(&mut self, byte: u8) {
+        self.partial |= u64::from(byte) << (8 * self.filled);
+        self.filled += 1;
+        if self.filled == 8 {
+            self.hash = fx_add(self.hash, self.partial);
+            self.partial = 0;
+            self.filled = 0;
+        }
+    }
+
+    fn finish(self) -> Digest {
+        let mut hash = self.hash;
+        if self.filled > 0 {
+            hash = fx_add(hash, self.partial);
+        }
+        // Fold in the length so `[0]` and `[0, 0]` differ.
+        Digest(fx_add(hash, self.len))
+    }
+}
+
+impl BufMut for DigestStream {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.len += src.len() as u64;
+        let mut rest = src;
+        // Complete an unfinished word first, then hash whole words.
+        while self.filled > 0 {
+            let Some((&byte, tail)) = rest.split_first() else {
+                return;
+            };
+            self.push_byte(byte);
+            rest = tail;
+        }
+        let mut words = rest.chunks_exact(8);
+        for chunk in &mut words {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(chunk);
+            self.hash = fx_add(self.hash, u64::from_le_bytes(word));
+        }
+        for &byte in words.remainder() {
+            self.push_byte(byte);
+        }
+    }
+}
+
 /// Digests a value's exact wire encoding.
 ///
 /// This is the canonical content address used by the migration cache and
-/// the registry's digest advertisements.
+/// the registry's digest advertisements. The encoding streams into the
+/// hash: no payload-sized buffer is built.
 pub fn digest_of<T: Wire>(value: &T) -> Digest {
-    let mut buf = BytesMut::with_capacity(value.encoded_len());
-    value.encode(&mut buf);
-    Digest::of_bytes(&buf)
+    let mut stream = DigestStream::default();
+    value.encode(&mut stream);
+    stream.finish()
 }
 
 #[cfg(test)]
@@ -131,6 +179,50 @@ mod tests {
         let d = digest_of(&String::from("player-ui"));
         let back: Digest = crate::from_bytes(&crate::to_bytes(&d)).unwrap();
         assert_eq!(back, d);
+    }
+
+    /// The whole-buffer word hash, as a reference for the stream.
+    fn reference_of_bytes(bytes: &[u8]) -> u64 {
+        let mut hash = 0u64;
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(chunk);
+            hash = fx_add(hash, u64::from_le_bytes(word));
+        }
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            hash = fx_add(hash, u64::from_le_bytes(word));
+        }
+        fx_add(hash, bytes.len() as u64)
+    }
+
+    #[test]
+    fn stream_matches_the_whole_buffer_hash() {
+        let bytes: Vec<u8> = (0u8..64).map(|b| b.wrapping_mul(37)).collect();
+        for len in 0..bytes.len() {
+            assert_eq!(
+                Digest::of_bytes(&bytes[..len]).as_u64(),
+                reference_of_bytes(&bytes[..len]),
+                "len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn split_points_do_not_change_the_digest() {
+        let bytes: Vec<u8> = (0u8..=40).collect();
+        let whole = Digest::of_bytes(&bytes);
+        for split in [0usize, 1, 3, 7, 8, 9, 17, 40] {
+            let (a, b) = bytes.split_at(split);
+            let mut stream = DigestStream::default();
+            stream.put_slice(a);
+            stream.put_u8(b[0]);
+            stream.put_slice(&b[1..]);
+            assert_eq!(stream.finish(), whole, "split at {split}");
+        }
     }
 
     #[test]

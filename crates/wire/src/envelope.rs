@@ -73,7 +73,7 @@ impl Envelope {
         crate::wire::put_varint(&mut buf, self.payload.len() as u64);
         buf.put_slice(&self.payload);
         buf.put_u64_le(fnv1a(&self.payload));
-        buf.to_vec()
+        buf.freeze()
     }
 
     /// Parses and verifies a frame.

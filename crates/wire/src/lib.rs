@@ -7,7 +7,8 @@
 //!
 //! * [`Wire`] — encode/decode/`encoded_len` (exact, ahead of time).
 //! * [`impl_wire_struct!`] / [`impl_wire_enum!`] — impl-writing macros.
-//! * [`Blob`] — verbatim byte payloads (music files, slide decks).
+//! * [`Blob`] — verbatim byte payloads (music files, slide decks), shared
+//!   rather than copied: clones and [`from_blob`] decodes are views.
 //! * [`Envelope`] — checksummed framing used on links, so the fault-injection
 //!   tests can corrupt frames in flight and watch the middleware recover.
 //!
@@ -31,6 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod blob;
 mod digest;
 mod envelope;
 mod error;
@@ -40,8 +42,9 @@ mod wire;
 
 pub use bytes;
 
+pub use blob::Blob;
 pub use digest::{digest_of, Digest};
 pub use envelope::{fnv1a, Envelope};
 pub use error::WireError;
 pub use reader::{Reader, MAX_DECLARED_LEN};
-pub use wire::{from_bytes, to_bytes, Blob, Wire};
+pub use wire::{from_blob, from_bytes, to_bytes, Wire};

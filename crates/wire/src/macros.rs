@@ -34,7 +34,7 @@ macro_rules! impl_wire_struct {
     };
     ($ty:ident { $($field:ident),+ $(,)? } skip { $($cache:ident),* $(,)? }) => {
         impl $crate::Wire for $ty {
-            fn encode(&self, buf: &mut $crate::bytes::BytesMut) {
+            fn encode<B: $crate::bytes::BufMut>(&self, buf: &mut B) {
                 $( $crate::Wire::encode(&self.$field, buf); )+
             }
             fn decode(reader: &mut $crate::Reader<'_>) -> ::std::result::Result<Self, $crate::WireError> {
@@ -70,7 +70,7 @@ macro_rules! impl_wire_struct {
 macro_rules! impl_wire_enum {
     ($ty:ident { $($variant:ident = $tag:literal),+ $(,)? }) => {
         impl $crate::Wire for $ty {
-            fn encode(&self, buf: &mut $crate::bytes::BytesMut) {
+            fn encode<B: $crate::bytes::BufMut>(&self, buf: &mut B) {
                 let tag: u32 = match self {
                     $( $ty::$variant => $tag, )+
                 };

@@ -1,5 +1,6 @@
 //! A borrowing cursor over an encoded byte slice.
 
+use crate::blob::Blob;
 use crate::error::WireError;
 
 /// Maximum length any prefix may declare; guards against hostile or corrupt
@@ -11,12 +12,28 @@ pub const MAX_DECLARED_LEN: u64 = 256 * 1024 * 1024;
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// The blob whose bytes `buf` is, when decoding from a shared input:
+    /// blob fields then decode as views into it instead of copies.
+    source: Option<&'a Blob>,
 }
 
 impl<'a> Reader<'a> {
-    /// Wraps a byte slice.
+    /// Wraps a byte slice; blobs decoded from it are copies.
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+        Reader {
+            buf,
+            pos: 0,
+            source: None,
+        }
+    }
+
+    /// Wraps a shared blob; blobs decoded from it are views into it.
+    pub fn shared(blob: &'a Blob) -> Self {
+        Reader {
+            buf: blob.as_slice(),
+            pos: 0,
+            source: Some(blob),
+        }
     }
 
     /// Bytes not yet consumed.
@@ -35,15 +52,31 @@ impl<'a> Reader<'a> {
     ///
     /// [`WireError::UnexpectedEnd`] when fewer than `n` bytes remain.
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::UnexpectedEnd {
+        let out = self
+            .pos
+            .checked_add(n)
+            .and_then(|end| self.buf.get(self.pos..end))
+            .ok_or(WireError::UnexpectedEnd {
                 needed: n,
                 remaining: self.remaining(),
-            });
-        }
-        let out = &self.buf[self.pos..self.pos + n];
+            })?;
         self.pos += n;
         Ok(out)
+    }
+
+    /// Consumes `n` bytes as a blob: a view into the input when it is a
+    /// shared blob ([`Reader::shared`]), otherwise a copy.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::UnexpectedEnd`] when fewer than `n` bytes remain.
+    pub fn take_blob(&mut self, n: usize) -> Result<Blob, WireError> {
+        let offset = self.pos;
+        let bytes = self.take(n)?;
+        Ok(self
+            .source
+            .and_then(|source| source.slice(offset, n))
+            .unwrap_or_else(|| Blob::from(bytes)))
     }
 
     /// Consumes one byte.
@@ -52,7 +85,13 @@ impl<'a> Reader<'a> {
     ///
     /// [`WireError::UnexpectedEnd`] when the buffer is exhausted.
     pub fn take_u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+        match self.take(1)? {
+            [byte] => Ok(*byte),
+            _ => Err(WireError::UnexpectedEnd {
+                needed: 1,
+                remaining: 0,
+            }),
+        }
     }
 
     /// Decodes a LEB128 varint.

@@ -5,6 +5,7 @@ use std::hash::Hash;
 
 use bytes::{BufMut, BytesMut};
 
+use crate::blob::Blob;
 use crate::error::WireError;
 use crate::reader::Reader;
 
@@ -32,7 +33,11 @@ use crate::reader::Reader;
 /// ```
 pub trait Wire: Sized {
     /// Appends the encoding of `self` to `buf`.
-    fn encode(&self, buf: &mut BytesMut);
+    ///
+    /// Any [`BufMut`] sink works: [`to_bytes`] writes into a buffer,
+    /// [`digest_of`](crate::digest_of) hashes the bytes as they stream by
+    /// and the default [`encoded_len`](Wire::encoded_len) only counts them.
+    fn encode<B: BufMut>(&self, buf: &mut B);
 
     /// Decodes a value from the cursor.
     ///
@@ -42,30 +47,59 @@ pub trait Wire: Sized {
     fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError>;
 
     /// Exact number of bytes [`encode`](Wire::encode) will append.
+    ///
+    /// The default runs the encoder into a counting sink; types on sized
+    /// hot paths override it with a structural sum.
     fn encoded_len(&self) -> usize {
-        let mut buf = BytesMut::new();
-        self.encode(&mut buf);
-        buf.len()
+        let mut counter = ByteCounter(0);
+        self.encode(&mut counter);
+        counter.0
+    }
+}
+
+/// A sink that only counts the bytes written to it.
+struct ByteCounter(usize);
+
+impl BufMut for ByteCounter {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.0 += src.len();
     }
 }
 
 /// Encodes a value into a fresh byte vector.
 ///
 /// The buffer is sized up front from [`Wire::encoded_len`], so encoding is
-/// a single pass with no reallocation even for multi-megabyte payloads.
+/// a single pass with no reallocation even for multi-megabyte payloads,
+/// and the buffer itself is returned: the bytes are written once.
 pub fn to_bytes<T: Wire>(value: &T) -> Vec<u8> {
     let mut buf = BytesMut::with_capacity(value.encoded_len());
     value.encode(&mut buf);
-    buf.to_vec()
+    buf.freeze()
 }
 
-/// Decodes a value from a byte slice, requiring full consumption.
+/// Decodes a value from a byte slice, requiring full consumption. Blob
+/// fields are copied out of `bytes`.
 ///
 /// # Errors
 ///
 /// Returns a [`WireError`] on malformed input or trailing bytes.
 pub fn from_bytes<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
-    let mut reader = Reader::new(bytes);
+    decode_all(Reader::new(bytes))
+}
+
+/// Decodes a value from a shared blob, requiring full consumption. When
+/// `blob` is larger than [`Blob::PACK_MAX`], blob fields become views of
+/// it, so no payload bytes are copied and each view keeps `blob`'s storage
+/// alive; a smaller input's blob fields are (small) copies.
+///
+/// # Errors
+///
+/// Returns a [`WireError`] on malformed input or trailing bytes.
+pub fn from_blob<T: Wire>(blob: &Blob) -> Result<T, WireError> {
+    decode_all(Reader::shared(blob))
+}
+
+fn decode_all<T: Wire>(mut reader: Reader<'_>) -> Result<T, WireError> {
     let value = T::decode(&mut reader)?;
     if !reader.is_exhausted() {
         return Err(WireError::UnexpectedEnd {
@@ -76,7 +110,7 @@ pub fn from_bytes<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
     Ok(value)
 }
 
-pub(crate) fn put_varint(buf: &mut BytesMut, mut v: u64) {
+pub(crate) fn put_varint<B: BufMut>(buf: &mut B, mut v: u64) {
     while v >= 0x80 {
         buf.put_u8((v as u8 & 0x7F) | 0x80);
         v >>= 7;
@@ -100,7 +134,7 @@ fn unzigzag(v: u64) -> i64 {
 macro_rules! wire_unsigned {
     ($($ty:ty),*) => {$(
         impl Wire for $ty {
-            fn encode(&self, buf: &mut BytesMut) {
+            fn encode<B: BufMut>(&self, buf: &mut B) {
                 put_varint(buf, u64::from(*self));
             }
             fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -119,7 +153,7 @@ wire_unsigned!(u8, u16, u32, u64);
 macro_rules! wire_signed {
     ($($ty:ty),*) => {$(
         impl Wire for $ty {
-            fn encode(&self, buf: &mut BytesMut) {
+            fn encode<B: BufMut>(&self, buf: &mut B) {
                 put_varint(buf, zigzag(i64::from(*self)));
             }
             fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -138,7 +172,7 @@ macro_rules! wire_signed {
 wire_signed!(i8, i16, i32, i64);
 
 impl Wire for usize {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         put_varint(buf, *self as u64);
     }
     fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -151,7 +185,7 @@ impl Wire for usize {
 }
 
 impl Wire for bool {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         buf.put_u8(u8::from(*self));
     }
     fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -167,7 +201,7 @@ impl Wire for bool {
 }
 
 impl Wire for f64 {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         buf.put_u64_le(self.to_bits());
     }
     fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -182,7 +216,7 @@ impl Wire for f64 {
 }
 
 impl Wire for f32 {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         buf.put_u32_le(self.to_bits());
     }
     fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -197,7 +231,7 @@ impl Wire for f32 {
 }
 
 impl Wire for String {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         put_varint(buf, self.len() as u64);
         buf.put_slice(self.as_bytes());
     }
@@ -212,7 +246,7 @@ impl Wire for String {
 }
 
 impl<T: Wire> Wire for Vec<T> {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         put_varint(buf, self.len() as u64);
         for item in self {
             item.encode(buf);
@@ -232,7 +266,7 @@ impl<T: Wire> Wire for Vec<T> {
 }
 
 impl<T: Wire> Wire for Option<T> {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         match self {
             None => buf.put_u8(0),
             Some(v) => {
@@ -257,7 +291,7 @@ impl<T: Wire> Wire for Option<T> {
 }
 
 impl<T: Wire> Wire for Box<T> {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         (**self).encode(buf);
     }
     fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -273,7 +307,7 @@ where
     K: Wire + Ord,
     V: Wire,
 {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         put_varint(buf, self.len() as u64);
         for (k, v) in self {
             k.encode(buf);
@@ -290,6 +324,13 @@ where
         }
         Ok(out)
     }
+    fn encoded_len(&self) -> usize {
+        varint_len(self.len() as u64)
+            + self
+                .iter()
+                .map(|(k, v)| k.encoded_len() + v.encoded_len())
+                .sum::<usize>()
+    }
 }
 
 // Generic over the hasher so deterministic maps (e.g. `FxHashMap`)
@@ -300,7 +341,7 @@ where
     V: Wire,
     S: std::hash::BuildHasher + Default,
 {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         // Sort by key so equal maps encode identically.
         let mut entries: Vec<(&K, &V)> = self.iter().collect();
         entries.sort_by(|a, b| a.0.cmp(b.0));
@@ -320,10 +361,18 @@ where
         }
         Ok(out)
     }
+    fn encoded_len(&self) -> usize {
+        // Entry order does not change the length: no sort needed.
+        varint_len(self.len() as u64)
+            + self
+                .iter()
+                .map(|(k, v)| k.encoded_len() + v.encoded_len())
+                .sum::<usize>()
+    }
 }
 
 impl<T: Wire + Ord> Wire for std::collections::BTreeSet<T> {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         put_varint(buf, self.len() as u64);
         for item in self {
             item.encode(buf);
@@ -343,7 +392,7 @@ impl<T: Wire + Ord> Wire for std::collections::BTreeSet<T> {
 }
 
 impl<T: Wire> Wire for std::collections::VecDeque<T> {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         put_varint(buf, self.len() as u64);
         for item in self {
             item.encode(buf);
@@ -363,7 +412,7 @@ impl<T: Wire> Wire for std::collections::VecDeque<T> {
 }
 
 impl Wire for char {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         put_varint(buf, u64::from(u32::from(*self)));
     }
     fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -379,7 +428,7 @@ impl Wire for char {
 }
 
 impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<S: BufMut>(&self, buf: &mut S) {
         self.0.encode(buf);
         self.1.encode(buf);
     }
@@ -392,7 +441,7 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 }
 
 impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode<S: BufMut>(&self, buf: &mut S) {
         self.0.encode(buf);
         self.1.encode(buf);
         self.2.encode(buf);
@@ -406,72 +455,12 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
 }
 
 impl Wire for () {
-    fn encode(&self, _buf: &mut BytesMut) {}
+    fn encode<B: BufMut>(&self, _buf: &mut B) {}
     fn decode(_reader: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(())
     }
     fn encoded_len(&self) -> usize {
         0
-    }
-}
-
-/// A raw byte payload with a compact length-prefixed encoding.
-///
-/// `Vec<u8>` encodes each byte as a varint through the generic `Vec<T>`
-/// impl; `Blob` stores bytes verbatim, which is what application data files
-/// (music, slides) want.
-///
-/// # Examples
-///
-/// ```
-/// use mdagent_wire::{Blob, Wire};
-///
-/// let blob = Blob::zeroed(1024);
-/// assert_eq!(blob.encoded_len(), 1024 + 2); // payload + 2-byte varint prefix
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Blob(pub Vec<u8>);
-
-impl Blob {
-    /// Creates a blob of `len` zero bytes, handy for synthetic data files.
-    pub fn zeroed(len: usize) -> Self {
-        Blob(vec![0; len])
-    }
-
-    /// Byte length of the payload.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the payload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-}
-
-impl From<Vec<u8>> for Blob {
-    fn from(v: Vec<u8>) -> Self {
-        Blob(v)
-    }
-}
-
-impl AsRef<[u8]> for Blob {
-    fn as_ref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-impl Wire for Blob {
-    fn encode(&self, buf: &mut BytesMut) {
-        put_varint(buf, self.0.len() as u64);
-        buf.put_slice(&self.0);
-    }
-    fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
-        let len = reader.take_len()?;
-        Ok(Blob(reader.take(len)?.to_vec()))
-    }
-    fn encoded_len(&self) -> usize {
-        varint_len(self.0.len() as u64) + self.0.len()
     }
 }
 
@@ -513,7 +502,7 @@ mod tests {
         roundtrip(Box::new(9u16));
         roundtrip(("key".to_string(), 5u32));
         roundtrip(("a".to_string(), 1u8, true));
-        roundtrip(Blob(vec![9, 8, 7]));
+        roundtrip(Blob::from(vec![9, 8, 7]));
         let mut map = HashMap::new();
         map.insert("b".to_string(), 2u32);
         map.insert("a".to_string(), 1u32);
@@ -584,14 +573,6 @@ mod tests {
         let bytes = to_bytes(&f64::NAN);
         let back: f64 = from_bytes(&bytes).unwrap();
         assert!(back.is_nan());
-    }
-
-    #[test]
-    fn blob_is_byte_exact() {
-        let blob = Blob::zeroed(200);
-        assert_eq!(blob.encoded_len(), 202);
-        assert!(!blob.is_empty());
-        assert_eq!(Blob::default().len(), 0);
     }
 
     #[test]
